@@ -22,6 +22,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,9 @@ struct JsonBenchRow {
   /// emitted as its own JSON key instead of masquerading as a time in
   /// ns_per_op).  0 when the op does not account transitions.
   double transitions_per_record = 0.0;
+  /// Normalized overhead against the row's baseline (Fig. 6 series
+  /// rows only; emitted as its own JSON key when set).
+  std::optional<double> overhead;
   int threads = 1;
 };
 
@@ -128,6 +132,9 @@ inline bool WriteBenchJson(const std::string& path,
     if (r.transitions_per_record > 0.0) {
       std::fprintf(f, "\"transitions_per_record\": %.3f, ",
                    r.transitions_per_record);
+    }
+    if (r.overhead.has_value()) {
+      std::fprintf(f, "\"overhead\": %.4f, ", *r.overhead);
     }
     std::fprintf(f, "\"threads\": %d}%s\n", r.threads,
                  i + 1 < rows.size() ? "," : "");

@@ -56,7 +56,9 @@ void ConnectedLayer::Backward(const Batch& in, const Batch& out,
   delta = delta_out.data;
   if (activation_ == Activation::kLeakyRelu) {
     for (std::size_t i = 0; i < delta.size(); ++i) {
-      if (out.data[i] < 0.0F) delta[i] *= kLeakySlope;
+      float scale = 1.0F;  // branch-free (x * 1 == x exactly)
+      if (out.data[i] < 0.0F) scale = kLeakySlope;
+      delta[i] *= scale;
     }
   }
 

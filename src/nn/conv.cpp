@@ -136,9 +136,13 @@ void ConvLayer::Backward(const Batch& in, const Batch& out,
           std::copy(src, src + n, dst);
         } else {
           // Leaky ReLU preserves sign, so the post-activation output
-          // determines which branch was taken.
+          // determines which branch was taken.  Selecting the factor
+          // and always multiplying (x * 1 == x exactly) vectorizes; a
+          // conditional multiply compiles to one branch per element.
           for (std::size_t j = 0; j < n; ++j) {
-            dst[j] = out_row[j] < 0.0F ? src[j] * kLeakySlope : src[j];
+            float scale = 1.0F;
+            if (out_row[j] < 0.0F) scale = kLeakySlope;
+            dst[j] = src[j] * scale;
           }
         }
       }

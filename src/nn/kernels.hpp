@@ -1,23 +1,26 @@
 // Compute kernels with two compiled variants.
 //
-// kFast is built with -O3 -ffast-math (reassociation lets the compiler
-// vectorize the reduction loops) and models the ML-accelerated path
-// available *outside* an SGX enclave.  kPrecise is built with plain -O3,
-// mirroring the paper's observation (Sec. VI-C) that -ffast-math-style
-// floating acceleration is ineffective for enclaved code.  Both compute
-// the same GEMM; the measured speed difference is what the Fig. 6
-// benchmark reports as in-enclave overhead.
+// kFast is built with -O3 -ffast-math (FMA contraction, reassociation)
+// and models the ML-accelerated path available *outside* an SGX
+// enclave.  kPrecise is built with -O3 -ffp-contract=off — strict IEEE
+// semantics, mirroring the paper's observation (Sec. VI-C) that
+// -ffast-math-style floating acceleration is unavailable to enclaved
+// code.  Both compute the same GEMM; the measured speed difference is
+// what the Fig. 6 benchmark reports as in-enclave overhead.
 //
-// Kernel architecture (PR 3): the Fast profile routes non-trivial
-// shapes through a cache-blocked, register-tiled micro-kernel
-// (gemm_tile.inc) — A/B packed into per-thread workspace panels, a
-// 6x16 register tile with zero-padded edges, runtime ISA dispatch via
-// target_clones — while the Precise profile keeps the exact
-// serial-order AXPY/dot loops (gemm_body.inc) for in-enclave fidelity.
-// The tiled block plan (KC/MC/NC/MR/NR) is fixed and independent of
-// the thread count, and parallel dispatch only ever splits disjoint
-// output tiles, so Fast results stay bit-identical at any thread count
-// (the PR 2 determinism contract).
+// Kernel architecture: both profiles run one cache-blocked,
+// register-tiled core (gemm_tile.inc) — A/B packed into per-thread
+// workspace panels shared by the two profiles, a 6x16 register tile
+// with zero-padded edges, runtime ISA dispatch via target_clones.
+// Fast contracts to FMA, dispatches large shapes to the thread pool and
+// sends tiny shapes to the naive loops (gemm_body.inc).  Precise runs
+// every shape under a strict policy, serially: each output lane does the
+// naive loops' multiply and add in the same order from the same seed,
+// so Precise results are bit-identical to the serial-order reference
+// loops on every ISA (tests/gemm_test.cpp checks with memcmp).  The
+// tiled block plan (KC/MC/NC/MR/NR) is fixed and independent of the
+// thread count, and parallel dispatch only ever splits disjoint output
+// tiles, so Fast results stay bit-identical at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -92,9 +95,9 @@ void GemmTransBExPrecise(std::size_t m, std::size_t n, std::size_t k,
 /// [m x n] each (the network's batch layout), and for every sample
 ///   out_s = leaky(weights[m x k] * col_s + bias)   (overwrite).
 /// The Fast build issues one wide tiled GEMM whose store phase scatters
-/// tile columns across sample planes; the Precise build runs the exact
-/// per-sample serial loop (bias-seeded AXPY, then activation) so the
-/// in-enclave arithmetic order is unchanged from the unbatched path.
+/// tile columns across sample planes; the Precise build issues one
+/// strict GEMM per sample, bit-identical to the per-sample serial loop
+/// (bias-seeded AXPY, then activation).
 void ConvGemmBatchedFast(std::size_t m, std::size_t n, std::size_t k,
                          int batch, const float* weights,
                          const float* col_wide, const float* bias,
@@ -110,9 +113,10 @@ void ConvGemmBatchedPrecise(std::size_t m, std::size_t n, std::size_t k,
 ///   weight_grads[m x k] += delta_wide * col_wide^T
 ///   col_delta[k x batch*n] = weights^T * delta_wide    (overwrite;
 ///                            skipped when col_delta == nullptr)
-/// The Fast build issues two wide tiled GEMMs; the Precise build runs
-/// the exact per-sample serial loops of the unbatched lowering
-/// (bit-identical to the seed arithmetic, sample by sample).
+/// The Fast build issues two wide tiled GEMMs; the Precise build keeps
+/// the per-sample grouping of the unbatched lowering for weight_grads
+/// (one strict GEMM per sample, in sample order) and one wide strict
+/// GEMM for col_delta — bit-identical to the seed arithmetic.
 void ConvGemmBackwardFast(std::size_t m, std::size_t n, std::size_t k,
                           int batch, const float* weights,
                           const float* delta_wide, const float* col_wide,

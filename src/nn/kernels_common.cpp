@@ -9,6 +9,8 @@
 // data-parallel training shards) everything runs inline.
 #include "nn/kernels.hpp"
 
+#include <algorithm>
+
 #include "util/threadpool.hpp"
 
 namespace caltrain::nn {
@@ -18,29 +20,54 @@ constexpr bool InBounds(int v, int limit) noexcept {
   return v >= 0 && v < limit;
 }
 
+/// Output columns [lo, hi) whose input column ox*stride - pad + kx lies
+/// inside [0, width); the rest of the row reads the zero padding.
+struct TapSpan {
+  int lo, hi;
+};
+
+inline TapSpan ColumnSpan(int kx, int stride, int pad, int width,
+                          int out_w) noexcept {
+  const auto ceil_div = [](int a, int b) {  // b > 0, any sign of a
+    return a >= 0 ? (a + b - 1) / b : -((-a) / b);
+  };
+  const int lo = std::min(out_w, std::max(0, ceil_div(pad - kx, stride)));
+  const int hi = std::min(out_w, ceil_div(width + pad - kx, stride));
+  return TapSpan{lo, std::max(lo, hi)};
+}
+
 /// Writes one im2col row (channel plane `in_c`, kernel offset ky/kx)
 /// of out_h*out_w values into `col_row`.
 inline void Im2ColRow(const float* in_c, int height, int width, int ky,
                       int kx, int stride, int pad, int out_h, int out_w,
                       float* col_row) noexcept {
-  std::size_t idx = 0;
-  for (int oy = 0; oy < out_h; ++oy) {
+  const TapSpan span = ColumnSpan(kx, stride, pad, width, out_w);
+  const int shift = kx - pad;
+  for (int oy = 0; oy < out_h; ++oy, col_row += out_w) {
     const int iy = oy * stride - pad + ky;
     if (!InBounds(iy, height)) {
-      for (int ox = 0; ox < out_w; ++ox) col_row[idx++] = 0.0F;
+      std::fill(col_row, col_row + out_w, 0.0F);
       continue;
     }
     const float* in_row = in_c + static_cast<std::size_t>(iy) * width;
-    for (int ox = 0; ox < out_w; ++ox) {
-      const int ix = ox * stride - pad + kx;
-      col_row[idx++] = InBounds(ix, width) ? in_row[ix] : 0.0F;
+    std::fill(col_row, col_row + span.lo, 0.0F);
+    if (stride == 1) {
+      std::copy(in_row + span.lo + shift, in_row + span.hi + shift,
+                col_row + span.lo);
+    } else {
+      for (int ox = span.lo; ox < span.hi; ++ox) {
+        col_row[ox] = in_row[ox * stride + shift];
+      }
     }
+    std::fill(col_row + span.hi, col_row + out_w, 0.0F);
   }
 }
 
 /// Scatter-adds one channel's ksize*ksize column rows back into the
 /// channel plane `in_c`.  Rows of the column block are `ld` floats
-/// apart.
+/// apart.  Within one (tap, output row) every input element receives at
+/// most one add, so each element's accumulation order is the tap-major,
+/// row-major order of the loops.
 inline void Col2ImChannel(const float* col_c, std::size_t ld, int height,
                           int width, int ksize, int stride, int pad,
                           int out_h, int out_w, float* in_c) noexcept {
@@ -48,19 +75,21 @@ inline void Col2ImChannel(const float* col_c, std::size_t ld, int height,
   for (int kidx = 0; kidx < channel_cols; ++kidx) {
     const int ky = kidx / ksize;
     const int kx = kidx % ksize;
+    const TapSpan span = ColumnSpan(kx, stride, pad, width, out_w);
+    const int shift = kx - pad;
     const float* col_row = col_c + static_cast<std::size_t>(kidx) * ld;
-    std::size_t idx = 0;
-    for (int oy = 0; oy < out_h; ++oy) {
+    for (int oy = 0; oy < out_h; ++oy, col_row += out_w) {
       const int iy = oy * stride - pad + ky;
-      if (!InBounds(iy, height)) {
-        idx += static_cast<std::size_t>(out_w);
-        continue;
-      }
+      if (!InBounds(iy, height)) continue;
       float* in_row = in_c + static_cast<std::size_t>(iy) * width;
-      for (int ox = 0; ox < out_w; ++ox) {
-        const int ix = ox * stride - pad + kx;
-        if (InBounds(ix, width)) in_row[ix] += col_row[idx];
-        ++idx;
+      if (stride == 1) {
+        for (int ox = span.lo; ox < span.hi; ++ox) {
+          in_row[ox + shift] += col_row[ox];
+        }
+      } else {
+        for (int ox = span.lo; ox < span.hi; ++ox) {
+          in_row[ox * stride + shift] += col_row[ox];
+        }
       }
     }
   }

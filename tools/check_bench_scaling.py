@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
-"""CI gate for parallel scaling (ISSUE 6) and crypto ISA dispatch.
+"""CI gate for parallel scaling, strict-FP GEMM speed and crypto ISA dispatch.
 
 Parses a BENCH_micro.json produced by `bench_micro_substrates --json`
 and fails loudly if the thread sweeps regress: throughput at the
 highest measured thread count must not fall below 1-thread throughput
 on the GEMM and TrainBatch rows.
+
+It gates the strict-FP (Precise) GEMM against the fast-math one
+measured in the same run: at 128^3 the Precise/Fast GFLOP/s ratio must
+lie in [0.35, 1.0].  Both share the tiled core, so a ratio near the old
+naive loops' 0.14 means Precise fell off it; above 1.0 means the strict
+kernel outran fast-math, which shares its block plan and cannot.
 
 It also gates the hardware crypto kernels: when the crypto_isa info
 row shows an accelerated tier engaged for a family (AES, GHASH via
@@ -143,6 +149,53 @@ def check_crypto(rows, prefix, family, isa):
     return ok
 
 
+# Strict-FP GEMM gate: Precise op -> the Fast op of the same shape.
+PRECISE_PAIRS = {
+    "BM_GemmPrecise/128": "BM_GemmFast/128",
+    "BM_GemmTransBPrecise/128": "BM_GemmTransBFast/128",
+}
+PRECISE_RATIO_MIN = 0.35
+PRECISE_RATIO_MAX = 1.0
+
+
+def find_gflops(rows, op):
+    for row in rows:
+        if row.get("op") == op:
+            value = float(row.get("gflops", 0.0))
+            if value > 0.0:
+                return value
+    return None
+
+
+def check_precise_ratio(rows):
+    ok = True
+    for precise_op, fast_op in PRECISE_PAIRS.items():
+        precise = find_gflops(rows, precise_op)
+        fast = find_gflops(rows, fast_op)
+        if precise is None and fast is None:
+            print(f"skip {precise_op:24} no strict/fast GEMM rows in this "
+                  f"bench JSON")
+            continue
+        if precise is None or fast is None:
+            missing = precise_op if precise is None else fast_op
+            print(f"FAIL {precise_op}: {missing} row missing (bench filter "
+                  f"must select both halves of the pair)")
+            ok = False
+            continue
+        ratio = precise / fast
+        in_range = PRECISE_RATIO_MIN <= ratio <= PRECISE_RATIO_MAX
+        status = "ok" if in_range else "FAIL"
+        print(f"{status:4} {precise_op:24} {precise:6.1f} GFLOP/s = "
+              f"{ratio:5.2f}x of {fast_op} (allowed "
+              f"[{PRECISE_RATIO_MIN:.2f}, {PRECISE_RATIO_MAX:.2f}])")
+        if not in_range:
+            print(f"FAIL strict-FP GEMM at {ratio:.2f}x of fast-math — "
+                  f"below the floor it is off the tiled core; above 1.0 "
+                  f"it is not doing the strict work")
+            ok = False
+    return ok
+
+
 # Durable-ingest overhead gate (ISSUE 8): the journaled serve-ingest
 # row must keep >= this fraction of the plain async row's throughput
 # (<= 10% overhead for crash durability on the hot ingest path).
@@ -256,6 +309,7 @@ def main():
         if not args.serve_only:
             for prefix in GATED_SWEEPS:
                 ok = check(rows, prefix, args.tolerance) and ok
+            ok = check_precise_ratio(rows) and ok
             isa = parse_isa_summary(rows)
             for prefix, family in CRYPTO_GATES.items():
                 ok = check_crypto(rows, prefix, family, isa) and ok
